@@ -3,7 +3,7 @@
 use std::path::{Path, PathBuf};
 
 use aarc_core::report::ConfigurationReport;
-use aarc_simulator::{EvalEngine, EvalService};
+use aarc_simulator::EvalService;
 use aarc_spec::{compile, load, validate, SpecFormat, SynthParams};
 use aarc_telemetry::{LogFormat, LogLevel, Logger};
 
@@ -303,9 +303,10 @@ fn cmd_run(argv: &[String]) -> Result<(), String> {
     let threads = parse_threads(&args)?;
     let method = methods::build(args.get("method").unwrap_or("aarc"))?;
 
-    let engine = EvalEngine::with_threads(workload.env().clone(), threads);
+    let service = EvalService::with_threads(threads);
+    let handle = service.register(workload.env().clone());
     let outcome = method
-        .search_with(&engine, slo_ms)
+        .search_on(&handle, slo_ms)
         .map_err(|e| format!("search failed: {e}"))?;
     let report = ConfigurationReport::new(
         workload.env(),
@@ -313,14 +314,14 @@ fn cmd_run(argv: &[String]) -> Result<(), String> {
         &outcome.final_report,
         Some(slo_ms),
     );
-    let stats = engine.stats();
+    let stats = handle.stats();
     let text = match args.get("format").unwrap_or("text") {
         "text" => {
             // The search itself only ever sees lean `SimResult`s; the full
             // report with the event trace is materialised here, once, for
             // the winner.
             let full = outcome
-                .materialize_report(&engine)
+                .materialize_report(&handle)
                 .map_err(|e| format!("materialising the winning report failed: {e}"))?;
             format!(
                 "{report}\nsearch: {} samples, total cost {:.1}, total runtime {:.1} ms\neval: {} simulations, {} cache hits ({:.1}% hit rate)\ntrace: {} events recorded for the winning execution\n",

@@ -3041,7 +3041,7 @@ mod tests {
         assert_eq!(report.status, 200);
 
         // Bit-identical to the offline path: same strategy driven by
-        // SearchDriver::run on a private engine.
+        // SearchDriver::run on a private service.
         let workload = {
             let anonymous = state.tenants.resolve(None).unwrap();
             let scenarios = state.scenarios.lock().unwrap();
@@ -3050,8 +3050,10 @@ mod tests {
                 .clone()
         };
         let method = methods::build("aarc").unwrap();
-        let engine = aarc_simulator::EvalEngine::with_threads(workload.env().clone(), 2);
-        let outcome = method.search_with(&engine, workload.slo_ms()).unwrap();
+        let private = EvalService::with_threads(2);
+        let outcome = method
+            .search_on(&private.register(workload.env().clone()), workload.slo_ms())
+            .unwrap();
         let offline = ConfigurationReport::new(
             workload.env(),
             &outcome.best_configs,

@@ -1,10 +1,9 @@
 //! The Priority Configurator (Algorithm 2).
 
-use aarc_simulator::{ConfigMap, EvalEngine, ResourceConfig, SimResult, WorkflowEnvironment};
+use aarc_simulator::{ConfigMap, ResourceConfig, SimResult, WorkflowEnvironment};
 use aarc_workflow::{NodeId, ResourceAffinity};
 
 use crate::affinity::classify_affinity;
-use crate::error::AarcError;
 use crate::operation::{OpType, Operation, OperationQueue};
 use crate::params::AarcParams;
 use crate::search::SearchTrace;
@@ -60,49 +59,17 @@ impl PriorityConfigurator {
         &self.params
     }
 
-    /// Configures the functions in `path` so that the sum of their runtimes
-    /// stays within `path_budget_ms` and the whole workflow stays within
-    /// `end_to_end_slo_ms`, while monotonically decreasing the path's cost.
-    ///
-    /// `configs` is updated in place; every sampled execution is appended to
-    /// `trace`. `baseline` must be a report of the workflow under the
-    /// current `configs` (the scheduler always has one at hand), so the
-    /// configurator itself only executes candidate configurations. Each
-    /// candidate is submitted through `engine`, so re-visited configurations
-    /// (e.g. after a revert) are answered from the memo-cache.
-    ///
-    /// This is the synchronous loop over [`begin_path`]
-    /// (PriorityConfigurator::begin_path); the scheduler's ask/tell
-    /// strategy drives the same [`PathConfigState`] without owning an
-    /// engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the platform rejects an execution.
-    #[allow(clippy::too_many_arguments)]
-    pub fn configure_path(
-        &self,
-        engine: &EvalEngine,
-        configs: &mut ConfigMap,
-        path: &[NodeId],
-        path_budget_ms: f64,
-        end_to_end_slo_ms: f64,
-        baseline: &SimResult,
-        trace: &mut SearchTrace,
-    ) -> Result<PathConfiguration, AarcError> {
-        let env = engine.env();
-        let mut state = self.begin_path(env, path, path_budget_ms, end_to_end_slo_ms, baseline);
-        while state.propose(env, configs) {
-            let report = engine.evaluate(configs)?;
-            state.observe(env, configs, &report, trace);
-        }
-        Ok(state.result())
-    }
-
     /// Starts the resumable ask/tell form of Algorithm 2 over one path:
     /// seeds the (optionally affinity-ordered) operation queue and captures
-    /// the path's budget and baseline cost. Drive the returned state with
-    /// [`PathConfigState::propose`] / [`PathConfigState::observe`].
+    /// the path's budget and baseline cost. `baseline` must be a result of
+    /// the workflow under the current configuration, so the configurator
+    /// itself only evaluates candidates.
+    ///
+    /// Drive the returned state with [`PathConfigState::propose`] /
+    /// [`PathConfigState::observe`], evaluating each proposal in between,
+    /// until `propose` returns `false`. The sum of the path's runtimes then
+    /// stays within `path_budget_ms`, the whole workflow within
+    /// `end_to_end_slo_ms`, and the path's cost never increased.
     pub fn begin_path(
         &self,
         env: &WorkflowEnvironment,
@@ -168,8 +135,8 @@ impl PriorityConfigurator {
     }
 }
 
-/// The paper's `deallocate` as a free function, shared by the synchronous
-/// configurator loop and the resumable [`PathConfigState`].
+/// The paper's `deallocate`: the candidate allocation `op` shrinks
+/// `current` to, or `None` when it cannot shrink any further.
 fn deallocate(
     env: &WorkflowEnvironment,
     current: ResourceConfig,
@@ -212,9 +179,7 @@ struct PendingOp {
 /// `configs` into the next candidate, returns `false` when the path is
 /// done) and [`observe`](PathConfigState::observe) (processes the
 /// candidate's simulation result: keep or revert-with-backoff). The
-/// synchronous [`PriorityConfigurator::configure_path`] and the scheduler's
-/// ask/tell strategy both drive this state machine, so their behaviour is
-/// identical by construction.
+/// scheduler's ask/tell strategy drives it one evaluation per round.
 #[derive(Debug)]
 pub struct PathConfigState {
     params: AarcParams,
@@ -350,7 +315,7 @@ fn path_cost(result: &SimResult, path: &[NodeId]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aarc_simulator::{FunctionProfile, ProfileSet, ResourceSpace};
+    use aarc_simulator::{EvalService, FunctionProfile, ProfileSet, ResourceSpace, ScenarioHandle};
     use aarc_workflow::WorkflowBuilder;
 
     fn chain_env() -> (WorkflowEnvironment, Vec<NodeId>) {
@@ -383,6 +348,30 @@ mod tests {
         (env, vec![a, c])
     }
 
+    /// Drives one path to completion, evaluating every proposal through
+    /// `handle` — the loop the scheduler's strategy runs one round at a
+    /// time.
+    fn configure(
+        configurator: &PriorityConfigurator,
+        handle: &ScenarioHandle<'_>,
+        configs: &mut ConfigMap,
+        path: &[NodeId],
+        budget_ms: f64,
+        baseline: &SimResult,
+        trace: &mut SearchTrace,
+    ) -> PathConfiguration {
+        let env = handle.env();
+        let mut state = configurator.begin_path(env, path, budget_ms, budget_ms, baseline);
+        assert!(!state.is_pending());
+        while state.propose(env, configs) {
+            assert!(state.is_pending());
+            let report = handle.evaluate(configs).unwrap();
+            state.observe(env, configs, &report, trace);
+        }
+        assert!(!state.is_pending());
+        state.result()
+    }
+
     fn run_configurator(
         params: AarcParams,
         budget_ms: f64,
@@ -393,22 +382,21 @@ mod tests {
         PathConfiguration,
     ) {
         let (env, path) = chain_env();
-        let engine = EvalEngine::single_threaded(env.clone());
+        let service = EvalService::default();
+        let handle = service.register(env.clone());
         let mut configs = env.base_configs();
-        let baseline = engine.evaluate(&configs).unwrap();
+        let baseline = handle.evaluate(&configs).unwrap();
         let mut trace = SearchTrace::new();
         let configurator = PriorityConfigurator::new(params);
-        let result = configurator
-            .configure_path(
-                &engine,
-                &mut configs,
-                &path,
-                budget_ms,
-                budget_ms,
-                &baseline,
-                &mut trace,
-            )
-            .unwrap();
+        let result = configure(
+            &configurator,
+            &handle,
+            &mut configs,
+            &path,
+            budget_ms,
+            &baseline,
+            &mut trace,
+        );
         (env, configs, trace, result)
     }
 
@@ -451,23 +439,22 @@ mod tests {
         // A budget barely above the base runtime leaves almost no room to
         // shrink; whatever is accepted must still satisfy it.
         let (env, path) = chain_env();
-        let engine = EvalEngine::single_threaded(env.clone());
+        let service = EvalService::default();
+        let handle = service.register(env.clone());
         let mut configs = env.base_configs();
-        let baseline = engine.evaluate(&configs).unwrap();
+        let baseline = handle.evaluate(&configs).unwrap();
         let budget = baseline.makespan_ms() * 1.01;
         let mut trace = SearchTrace::new();
         let configurator = PriorityConfigurator::new(AarcParams::paper());
-        configurator
-            .configure_path(
-                &engine,
-                &mut configs,
-                &path,
-                budget,
-                budget,
-                &baseline,
-                &mut trace,
-            )
-            .unwrap();
+        configure(
+            &configurator,
+            &handle,
+            &mut configs,
+            &path,
+            budget,
+            &baseline,
+            &mut trace,
+        );
         let final_report = env.execute(&configs).unwrap();
         assert!(final_report.makespan_ms() <= budget);
         assert!(!final_report.any_oom());
@@ -476,33 +463,30 @@ mod tests {
     #[test]
     fn empty_path_or_zero_budget_is_a_no_op() {
         let (env, path) = chain_env();
-        let engine = EvalEngine::single_threaded(env.clone());
+        let service = EvalService::default();
+        let handle = service.register(env.clone());
         let mut configs = env.base_configs();
-        let baseline = engine.evaluate(&configs).unwrap();
+        let baseline = handle.evaluate(&configs).unwrap();
         let mut trace = SearchTrace::new();
         let configurator = PriorityConfigurator::new(AarcParams::paper());
-        let r1 = configurator
-            .configure_path(
-                &engine,
-                &mut configs,
-                &[],
-                60_000.0,
-                60_000.0,
-                &baseline,
-                &mut trace,
-            )
-            .unwrap();
-        let r2 = configurator
-            .configure_path(
-                &engine,
-                &mut configs,
-                &path,
-                0.0,
-                60_000.0,
-                &baseline,
-                &mut trace,
-            )
-            .unwrap();
+        let r1 = configure(
+            &configurator,
+            &handle,
+            &mut configs,
+            &[],
+            60_000.0,
+            &baseline,
+            &mut trace,
+        );
+        let r2 = configure(
+            &configurator,
+            &handle,
+            &mut configs,
+            &path,
+            0.0,
+            &baseline,
+            &mut trace,
+        );
         assert_eq!(r1.samples_used, 0);
         assert_eq!(r2.samples_used, 0);
         assert_eq!(trace.sample_count(), 0);
@@ -530,46 +514,6 @@ mod tests {
         let op_mem = Operation::new(NodeId::new(0), OpType::Mem, 0.2, 3);
         assert!(deallocate(&env, minimal, &op_cpu).is_none());
         assert!(deallocate(&env, minimal, &op_mem).is_none());
-    }
-
-    #[test]
-    fn path_state_drives_identically_to_configure_path() {
-        // Drive the resumable state machine by hand and compare against the
-        // synchronous loop: identical configs, trace and tallies.
-        let (env, path) = chain_env();
-        let budget = 60_000.0;
-        let configurator = PriorityConfigurator::new(AarcParams::paper());
-
-        let engine_sync = EvalEngine::single_threaded(env.clone());
-        let mut configs_sync = env.base_configs();
-        let baseline = engine_sync.evaluate(&configs_sync).unwrap();
-        let mut trace_sync = SearchTrace::new();
-        let result_sync = configurator
-            .configure_path(
-                &engine_sync,
-                &mut configs_sync,
-                &path,
-                budget,
-                budget,
-                &baseline,
-                &mut trace_sync,
-            )
-            .unwrap();
-
-        let engine_state = EvalEngine::single_threaded(env.clone());
-        let mut configs_state = env.base_configs();
-        let baseline_state = engine_state.evaluate(&configs_state).unwrap();
-        let mut trace_state = SearchTrace::new();
-        let mut state = configurator.begin_path(&env, &path, budget, budget, &baseline_state);
-        assert!(!state.is_pending());
-        while state.propose(&env, &mut configs_state) {
-            assert!(state.is_pending());
-            let report = engine_state.evaluate(&configs_state).unwrap();
-            state.observe(&env, &mut configs_state, &report, &mut trace_state);
-        }
-        assert_eq!(configs_sync, configs_state);
-        assert_eq!(trace_sync, trace_state);
-        assert_eq!(result_sync, state.result());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! * **interleaving** — [`SearchDriver::run_interleaved`] round-robins any
 //!   number of independent sessions (different methods, different input
-//!   classes, different scenarios) over one shared [`EvalService`]
-//!   (`aarc_simulator::EvalService`) pool, one step per session per round;
+//!   classes, different scenarios) over one shared
+//!   [`EvalService`](aarc_simulator::EvalService) pool, one step per
+//!   session per round;
 //! * **online serving** — a long-running daemon (`aarc serve`) owns
 //!   sessions directly, stepping them from a scheduler thread while
 //!   concurrent clients poll each session's [`SessionProgress`] snapshot,

@@ -171,7 +171,7 @@ impl WorkflowEnvironment {
     /// A stable 64-bit fingerprint of the whole scenario (workflow
     /// structure, profiles, pricing, cluster, space, default input and
     /// seed), used as the scenario component of the
-    /// [`EvalEngine`](crate::eval::EvalEngine) cache key. FNV-1a over a
+    /// [`EvalService`](crate::eval::EvalService) cache key. FNV-1a over a
     /// canonical rendering — per-function profiles are walked in node order,
     /// not map order, so two identical environments always agree. Any change
     /// to any field changes the fingerprint, so memoised reports can never

@@ -7,7 +7,7 @@
 //! [`kernel`](crate::kernel) — [`execute_workflow`] compiles the scenario,
 //! runs the kernel once with trace recording on, and hands back the full
 //! report. Hot paths (the search methods, via
-//! [`EvalEngine`](crate::eval::EvalEngine)) use the kernel's lean
+//! [`ScenarioHandle`](crate::eval::ScenarioHandle)) use the kernel's lean
 //! [`SimResult`](crate::kernel::SimResult) instead and only materialise an
 //! `ExecutionReport` for winners.
 
@@ -147,9 +147,9 @@ impl ExecutionReport {
 /// This is the low-level entry point; most callers use
 /// [`WorkflowEnvironment::execute`](crate::env::WorkflowEnvironment::execute)
 /// which bundles the static arguments, and the search methods go through
-/// [`EvalEngine`](crate::eval::EvalEngine), which compiles the scenario once
-/// and reuses a [`SimScratch`] per worker instead of paying the per-call
-/// compilation this wrapper does.
+/// [`ScenarioHandle`](crate::eval::ScenarioHandle), which compiles the
+/// scenario once and reuses a [`SimScratch`] per worker instead of paying
+/// the per-call compilation this wrapper does.
 ///
 /// # Errors
 ///

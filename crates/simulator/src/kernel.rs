@@ -1,8 +1,9 @@
 //! The zero-allocation simulation kernel.
 //!
-//! PR 2's `EvalEngine` made candidate evaluation parallel and memoised;
-//! profiling showed the remaining per-simulation cost was dominated by
-//! avoidable allocation, not modelling: every `execute_workflow` call cloned
+//! The [`eval`](crate::eval) layer makes candidate evaluation parallel and
+//! memoised; profiling showed the remaining per-simulation cost was
+//! dominated by avoidable allocation, not modelling: every
+//! `execute_workflow` call cloned
 //! a `String` name per function, scanned the workflow's edge list linearly
 //! per successor wake-up, recorded a trace nobody read, and rebuilt its
 //! event heap and state vectors from scratch — and the memo-cache then
@@ -137,7 +138,7 @@ pub struct NodeSimOutcome {
 }
 
 /// The lean result of one simulation: what the searchers observe and what
-/// the [`EvalEngine`](crate::eval::EvalEngine) memo-cache stores.
+/// the [`EvalService`](crate::eval::EvalService) memo-cache stores.
 ///
 /// Cloning is a reference-count bump plus a handful of scalars — no
 /// `String`s, no trace, no per-node reallocation — which is what makes
@@ -150,7 +151,7 @@ pub struct NodeSimOutcome {
 /// `(input, seed)` it was produced under so the matching full
 /// [`ExecutionReport`](crate::executor::ExecutionReport) can be
 /// re-materialised on demand (see
-/// [`EvalEngine::materialize_result`](crate::eval::EvalEngine::materialize_result)).
+/// [`ScenarioHandle::materialize_result`](crate::eval::ScenarioHandle::materialize_result)).
 #[derive(Clone)]
 pub struct SimResult {
     slab: Arc<[NodeSimOutcome]>,
@@ -405,7 +406,7 @@ struct RelaxSummary {
 /// states, execution records, cluster placement state and the capacity wait
 /// queue — so that repeated simulations reuse their allocations instead of
 /// rebuilding them. One scratch serves one simulation at a time; the
-/// [`EvalEngine`](crate::eval::EvalEngine) keeps a pool of them, one per
+/// [`EvalService`](crate::eval::EvalService) keeps a pool of them, one per
 /// active worker.
 #[derive(Debug, Default)]
 pub struct SimScratch {

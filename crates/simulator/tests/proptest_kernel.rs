@@ -2,13 +2,13 @@
 //! configuration, input and seed, the compiled kernel's lean [`SimResult`]
 //! and the materialised [`ExecutionReport`] must agree *exactly* — same
 //! makespan, cost, OOM flag and per-node timings, bit for bit — whether the
-//! simulation runs through the [`EvalEngine`], through a manually driven
+//! simulation runs through an [`EvalService`] handle, through a manually driven
 //! [`CompiledScenario`] with a reused [`SimScratch`], or through the
 //! `execute_workflow` compatibility path.
 
 use aarc_simulator::kernel::{BatchSim, CompiledScenario, SimScratch};
 use aarc_simulator::{
-    ClusterSpec, ConfigMap, EvalEngine, EvalOptions, FunctionProfile, InputSpec, PricingModel,
+    ClusterSpec, ConfigMap, EvalOptions, EvalService, FunctionProfile, InputSpec, PricingModel,
     ProfileSet, ResourceConfig, ResourceSpace, WorkflowEnvironment,
 };
 use aarc_workflow::{CommunicationKind, NodeId, WorkflowBuilder};
@@ -119,7 +119,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The lean result and the materialised report agree exactly on every
-    /// observable, across the engine path, the manual kernel path (with a
+    /// observable, across the service path, the manual kernel path (with a
     /// dirty, reused scratch) and the compatibility executor.
     #[test]
     fn kernel_result_and_materialised_report_agree_exactly(
@@ -133,9 +133,11 @@ proptest! {
         let n = env.workflow().len();
         let input = InputSpec::new(scale, payload);
 
-        // Path 1: the engine (memo-cache disabled so the kernel always runs).
-        let engine = EvalEngine::new(env.clone(), EvalOptions { threads: 1, cache_capacity: 0 });
-        let result = engine.evaluate_with(configs, input, seed).unwrap();
+        // Path 1: a service handle (memo-cache disabled so the kernel always
+        // runs).
+        let service = EvalService::new(EvalOptions { threads: 1, cache_capacity: 0 });
+        let handle = service.register(env.clone());
+        let result = handle.evaluate_with(configs, input, seed).unwrap();
 
         // Path 2: a manually driven scenario with a deliberately dirty
         // scratch (warmed up on a different candidate first).
@@ -154,7 +156,7 @@ proptest! {
 
         // Path 3: the materialised full report (trace recording on) and the
         // compatibility executor.
-        let report = engine.materialize_result(configs, &result).unwrap();
+        let report = handle.materialize_result(configs, &result).unwrap();
         let compat = aarc_simulator::executor::execute_workflow(
             env.workflow(),
             env.profiles(),
@@ -280,7 +282,7 @@ proptest! {
         }
     }
 
-    /// Engine results are reproducible: evaluating the same candidate twice
+    /// Handle results are reproducible: evaluating the same candidate twice
     /// with caching disabled re-runs the kernel and lands on the identical
     /// result (scratch reuse leaks nothing between runs).
     #[test]
@@ -289,12 +291,13 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let env = &case.env;
-        let engine = EvalEngine::new(env.clone(), EvalOptions { threads: 1, cache_capacity: 0 });
+        let service = EvalService::new(EvalOptions { threads: 1, cache_capacity: 0 });
+        let handle = service.register(env.clone());
         let configs = env.base_configs();
-        let a = engine.evaluate_with(&configs, env.input(), seed).unwrap();
-        let b = engine.evaluate_with(&configs, env.input(), seed).unwrap();
+        let a = handle.evaluate_with(&configs, env.input(), seed).unwrap();
+        let b = handle.evaluate_with(&configs, env.input(), seed).unwrap();
         prop_assert_eq!(a, b);
-        prop_assert_eq!(engine.stats().cache_hits, 0);
+        prop_assert_eq!(handle.stats().cache_hits, 0);
     }
 }
 

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// One semantic problem found while validating a [`ScenarioSpec`]
-/// (crate::ScenarioSpec).
+/// One semantic problem found while validating a
+/// [`ScenarioSpec`](crate::ScenarioSpec).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidationIssue {
     /// Dotted path to the offending element (e.g. `functions[2].profile`).

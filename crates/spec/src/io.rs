@@ -1,6 +1,7 @@
 //! Reading and writing scenario specs as YAML or JSON text and files.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
 
@@ -162,10 +163,16 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| std::io::Error::other(format!("{}: no file name", path.display())))?;
-    // The process id keeps concurrent writers (two daemons pointed at
-    // the same directory by mistake) from clobbering each other's temp
-    // file; the rename still serializes the final content.
-    let tmp = dir.join(format!(".{name}.{}.tmp", std::process::id()));
+    // The process id keeps concurrent processes (two daemons pointed at
+    // the same directory by mistake) and the counter keeps concurrent
+    // threads of one process from clobbering each other's temp file; the
+    // rename still serializes the final content.
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let tmp = dir.join(format!(
+        ".{name}.{}.{}.tmp",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
     let write = (|| {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
@@ -274,6 +281,47 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
         atomic_write(&path, b"second, longer content").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second, longer content");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_never_clobber_each_other() {
+        let dir = std::env::temp_dir().join(format!(
+            "aarc-spec-atomic-write-race-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.yaml");
+        let payloads: Vec<Vec<u8>> = (0..16)
+            .map(|t| format!("writer {t}\n").repeat(64 * (t + 1)).into_bytes())
+            .collect();
+        // Every writer starts together, so their temp files coexist.
+        let start = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..25 {
+                        atomic_write(path, payload).unwrap();
+                    }
+                });
+            }
+        });
+        let content = std::fs::read(&path).unwrap();
+        assert!(
+            payloads.contains(&content),
+            "final content is not one writer's complete payload"
+        );
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())

@@ -9,13 +9,13 @@
 //! profiles, cluster, pricing, resource space, SLO and the §IV-D input-size
 //! distribution — plus:
 //!
-//! * [`validate`] — semantic validation (acyclicity, dangling edge
+//! * [`validate`](mod@validate) — semantic validation (acyclicity, dangling edge
 //!   references, profile sanity, platform plausibility) with all problems
 //!   reported at once;
-//! * [`compile`] — a compiler into the engine's executable
+//! * [`compile`](mod@compile) — a compiler into the engine's executable
 //!   [`Workload`](aarc_workloads::Workload) /
 //!   [`WorkflowEnvironment`](aarc_simulator::WorkflowEnvironment);
-//! * [`export`] — the inverse direction, used to serialize the three
+//! * [`export`](mod@export) — the inverse direction, used to serialize the three
 //!   built-in paper workloads (and any programmatic workload) as specs;
 //! * [`synthetic_spec`] — scenario minting via the random workload
 //!   generator.

@@ -5,7 +5,7 @@
 //!
 //! Optional sections default to the paper's platform constants, so a
 //! minimal scenario only needs `version`, `name`, `slo_ms`, `functions`
-//! and `edges`. The [exporter](crate::export) always writes every section
+//! and `edges`. The [exporter](mod@crate::export) always writes every section
 //! explicitly ("normalized form"), which is what the golden files and the
 //! round-trip property tests pin down.
 
