@@ -35,18 +35,31 @@
 //! `aarc run` of the same spec/method/SLO (pinned by the CI serve smoke
 //! job).
 //!
+//! Both loops are event-driven; neither polls on a timer:
+//!
+//! * the accept loop blocks in `accept` and hands each connection to its
+//!   own thread (one request per connection, `Connection: close`);
+//! * when nothing is runnable the scheduler waits on a condition variable
+//!   paired with the session-table mutex. Every mutation that can make
+//!   work for it — starting a running session (recovery's resumed
+//!   sessions included), pause/resume/cancel, `/shutdown` — notifies
+//!   while holding that mutex, so a wake-up can never be lost between the
+//!   scheduler's check and its wait.
+//!
 //! Shutdown: `POST /shutdown` stops admission, cancels paused sessions,
-//! drains running ones and exits 0. A SIGTERM cannot be intercepted in
-//! this build — the offline environment has no `libc` and the crate
-//! forbids `unsafe` — so process supervisors should send `/shutdown`
-//! first and treat SIGTERM as the hard fallback.
+//! drains running ones and exits 0. Once drained, the scheduler thread
+//! unblocks the accept loop with one connection to the daemon's own
+//! listener (over loopback when it is bound to `0.0.0.0` or `::`). A
+//! SIGTERM cannot be intercepted in this build — the offline environment
+//! has no `libc` and the crate forbids `unsafe` — so process supervisors
+//! should send `/shutdown` first and treat SIGTERM as the hard fallback.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize, Value};
@@ -260,6 +273,10 @@ struct ServeState<'s> {
     max_live_sessions: usize,
     scenarios: Mutex<BTreeMap<(TenantId, String), ScenarioEntry<'s>>>,
     sessions: Mutex<BTreeMap<u64, Slot<'s>>>,
+    /// Paired with `sessions`: the idle scheduler waits on it, and every
+    /// mutation that can make a slot runnable (or starts the drain)
+    /// notifies it while still holding the `sessions` lock.
+    scheduler_wake: Condvar,
     next_session_id: AtomicU64,
     shutdown: AtomicBool,
     /// Durable state, when `--state-dir` was given.
@@ -312,6 +329,7 @@ impl<'s> ServeState<'s> {
             max_live_sessions,
             scenarios: Mutex::new(BTreeMap::new()),
             sessions: Mutex::new(BTreeMap::new()),
+            scheduler_wake: Condvar::new(),
             next_session_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             persist,
@@ -433,9 +451,6 @@ pub fn run_serve(config: ServeConfig, ready: Option<Sender<SocketAddr>>) -> Resu
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot resolve local address: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot configure listener: {e}"))?;
     let service = EvalService::with_threads(threads);
     let telemetry = ServeTelemetry::new(logger);
     service
@@ -477,19 +492,19 @@ pub fn run_serve(config: ServeConfig, ready: Option<Sender<SocketAddr>>) -> Resu
             // and operator endpoints (healthz, metrics, recovery) are
             // already being served by the accept loop.
             run_recovery(&state);
-            scheduler_loop(&state)
+            scheduler_loop(&state);
+            wake_accept_loop(local, &state.telemetry.logger);
         });
         loop {
-            if state.drained() {
-                break;
-            }
             match listener.accept() {
                 Ok((stream, _)) => {
+                    // The drained scheduler's wake-up connection (or a
+                    // straggler racing it) ends the loop unserved.
+                    if state.drained() {
+                        break;
+                    }
                     let state = &state;
                     scope.spawn(move || handle_connection(state, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) => {
                     eprintln!("aarc serve: accept failed: {e}");
@@ -521,22 +536,33 @@ pub fn run_serve(config: ServeConfig, ready: Option<Sender<SocketAddr>>) -> Resu
 /// live session per round on the shared service, applying pause/cancel
 /// requests between steps, until shutdown has drained every session.
 /// Stepping happens outside the session-table lock, so status polls are
-/// never blocked behind a long batch.
+/// never blocked behind a long batch. With nothing runnable it sleeps on
+/// [`ServeState::scheduler_wake`] until a start, control or shutdown
+/// notifies it — there is no timed back-off, so a missed notification
+/// shows up as a stuck session, never as hidden latency.
 fn scheduler_loop(state: &ServeState<'_>) {
     loop {
-        let shutting_down = state.shutting_down();
         let runnable: Vec<u64> = {
             let mut sessions = state.sessions.lock().expect("session table poisoned");
-            for slot in sessions.values_mut() {
-                apply_controls_with_shutdown(slot, shutting_down);
+            loop {
+                let shutting_down = state.shutting_down();
+                for slot in sessions.values_mut() {
+                    apply_controls_with_shutdown(slot, shutting_down);
+                }
+                let runnable: Vec<u64> = sessions
+                    .iter()
+                    .filter(|(_, s)| s.phase == Phase::Running && s.session.is_some())
+                    .map(|(&id, _)| id)
+                    .collect();
+                if !runnable.is_empty() || shutting_down {
+                    break runnable;
+                }
+                sessions = state
+                    .scheduler_wake
+                    .wait(sessions)
+                    .expect("session table poisoned");
             }
-            sessions
-                .iter()
-                .filter(|(_, s)| s.phase == Phase::Running && s.session.is_some())
-                .map(|(&id, _)| id)
-                .collect()
         };
-        let mut stepped = false;
         for id in runnable {
             let taken = {
                 let mut sessions = state.sessions.lock().expect("session table poisoned");
@@ -553,7 +579,6 @@ fn scheduler_loop(state: &ServeState<'_>) {
             let outcome_state = session.step();
             let step_ns = step_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             state.telemetry.step_seconds.record_ns(step_ns);
-            stepped = true;
             let mut sessions = state.sessions.lock().expect("session table poisoned");
             let slot = sessions.get_mut(&id).expect("slots are never removed");
             slot.progress = session.progress().clone();
@@ -589,9 +614,29 @@ fn scheduler_loop(state: &ServeState<'_>) {
         if state.drained() {
             break;
         }
-        if !stepped {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    }
+}
+
+/// Unblocks the accept loop once the scheduler has drained: one throwaway
+/// connection to the daemon's own listener, which the loop answers by
+/// re-checking [`ServeState::drained`] and exiting. A listener bound to an
+/// unspecified address (`0.0.0.0`, `::`) is reached over loopback.
+fn wake_accept_loop(local: SocketAddr, logger: &Logger) {
+    let mut target = local;
+    match target.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => target.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => target.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    if let Err(e) = TcpStream::connect(target) {
+        logger.log(
+            LogLevel::Error,
+            "accept_wake_failed",
+            &[
+                ("addr", FieldValue::Str(target.to_string())),
+                ("error", FieldValue::Str(e.to_string())),
+            ],
+        );
     }
 }
 
@@ -628,13 +673,15 @@ fn checkpoint_of(state: &ServeState<'_>, slot: &Slot<'_>) -> SessionCheckpoint {
 }
 
 /// Writes one checkpoint through the state dir, counting the outcome; a
-/// failed write degrades durability, never the session itself.
+/// failed write degrades durability, never the session itself. A stale
+/// checkpoint (one a newer write already superseded) is skipped silently.
 fn write_checkpoint(state: &ServeState<'_>, checkpoint: &SessionCheckpoint) {
     let Some(persist) = &state.persist else {
         return;
     };
     match persist.write_checkpoint(checkpoint) {
-        Ok(()) => state
+        Ok(false) => {}
+        Ok(true) => state
             .telemetry
             .recorder
             .counter(
@@ -896,6 +943,7 @@ fn recover_session(state: &ServeState<'_>, checkpoint: &SessionCheckpoint) -> Re
     };
     let mut sessions = state.sessions.lock().expect("session table poisoned");
     sessions.insert(checkpoint.id, slot);
+    state.scheduler_wake.notify_one();
     drop(sessions);
     state.telemetry.flight.record(
         "recovery_session",
@@ -1746,11 +1794,14 @@ fn start_session(
     instance: &str,
 ) -> Response {
     let tenant = state.tenants.tenant(tenant_id);
-    if state.shutting_down() {
+    let refuse_draining = || {
         state.count_rejection(&tenant.name, "shutdown");
-        return Problem::new(Kind::ShuttingDown, "daemon is shutting down")
+        Problem::new(Kind::ShuttingDown, "daemon is shutting down")
             .retry_after(1)
-            .response(instance);
+            .response(instance)
+    };
+    if state.shutting_down() {
+        return refuse_draining();
     }
     let text = match std::str::from_utf8(body) {
         Ok(text) => text,
@@ -1810,6 +1861,11 @@ fn start_session(
     }
 
     let mut sessions = state.sessions.lock().expect("session table poisoned");
+    // Re-checked under the session lock `/shutdown` sweeps under: a start
+    // that raced the drain must not add a session nobody will step.
+    if state.shutting_down() {
+        return refuse_draining();
+    }
     let tenant_live = sessions
         .values()
         .filter(|s| s.tenant == tenant_id && s.phase.is_live())
@@ -1870,6 +1926,12 @@ fn start_session(
         state: slot.phase.label().to_owned(),
     };
     sessions.insert(id, slot);
+    // A session admitted paused gives the scheduler nothing to do until
+    // its resume notifies; waking it here would only make it rescan the
+    // whole session table once per held admission.
+    if !start_paused {
+        state.scheduler_wake.notify_one();
+    }
     drop(sessions);
     drop(scenarios);
     let fields = vec![
@@ -2116,6 +2178,7 @@ fn control_session(
         _ => unreachable!("router only passes pause/resume/cancel"),
     }
     apply_controls(slot);
+    state.scheduler_wake.notify_one();
     json_response(200, &SessionStatus::of(slot))
 }
 
@@ -2166,6 +2229,7 @@ fn request_shutdown(state: &ServeState<'_>) -> Response {
             apply_controls(slot);
         }
     }
+    state.scheduler_wake.notify_one();
     let draining = sessions.values().filter(|s| s.phase.is_live()).count();
     let checkpoints: Vec<SessionCheckpoint> = if state.persist.is_some() {
         sessions
@@ -3806,6 +3870,136 @@ mod tests {
         }
         drain_sessions(&state);
         assert!(state.drained(), "pending pause must not park the session");
+    }
+
+    // -----------------------------------------------------------------
+    // The event-driven daemon: blocking accept, condvar-woken scheduler
+    // -----------------------------------------------------------------
+
+    /// How long an in-process daemon may take to reach an expected state.
+    /// The scheduler has no timed back-off, so a missed wake-up never
+    /// resolves itself and fails here instead.
+    const WAKE_DEADLINE: Duration = Duration::from_secs(30);
+
+    /// A daemon running `run_serve` in-process on its own thread.
+    struct InProcessDaemon {
+        /// Where to dial it (loopback when bound to an unspecified IP).
+        addr: SocketAddr,
+        /// Carries `run_serve`'s result once it returns.
+        done: std::sync::mpsc::Receiver<Result<(), String>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl InProcessDaemon {
+        /// Starts an anonymous-tenant daemon bound to `addr`.
+        fn start(addr: &str) -> Self {
+            let config = ServeConfig {
+                addr: addr.to_owned(),
+                threads: 1,
+                tenants: TenantRegistry::single_anonymous(),
+                max_live_sessions: DEFAULT_MAX_LIVE_SESSIONS,
+                logger: Logger::new(LogLevel::Error, aarc_telemetry::LogFormat::Text),
+                state_dir: None,
+                checkpoint_every: crate::state::DEFAULT_CHECKPOINT_EVERY,
+                tenants_config: None,
+            };
+            let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+            let (done_tx, done) = std::sync::mpsc::channel();
+            let thread = std::thread::spawn(move || {
+                let _ = done_tx.send(run_serve(config, Some(ready_tx)));
+            });
+            let mut addr = ready_rx
+                .recv_timeout(WAKE_DEADLINE)
+                .expect("daemon becomes ready");
+            if addr.ip().is_unspecified() {
+                addr.set_ip(Ipv4Addr::LOCALHOST.into());
+            }
+            InProcessDaemon { addr, done, thread }
+        }
+
+        fn call(&self, method: &str, path: &str, body: &[u8]) -> crate::client::HttpReply {
+            crate::client::http_request(self.addr, method, path, None, body, WAKE_DEADLINE)
+                .unwrap_or_else(|e| panic!("{method} {path}: {e}"))
+        }
+
+        /// Starts a chatbot session, running or paused; returns its id.
+        fn start_session(&self, paused: bool) -> u64 {
+            let body = format!("{{\"scenario\": \"chatbot\", \"paused\": {paused}}}");
+            let reply = self.call("POST", "/api/v1/sessions", body.as_bytes());
+            assert_eq!(reply.status, 201, "{}", reply.body);
+            uint(field(&serde_json::parse(&reply.body).unwrap(), "id"))
+        }
+
+        /// Sends `pause`, `resume` or `cancel` to session `id`.
+        fn control(&self, id: u64, action: &str) {
+            let reply = self.call("POST", &format!("/api/v1/sessions/{id}/{action}"), b"");
+            assert_eq!(reply.status, 200, "{}", reply.body);
+        }
+
+        /// Polls session `id` until it reports `phase`, failing at the
+        /// deadline.
+        fn await_phase(&self, id: u64, phase: &str) {
+            let deadline = Instant::now() + WAKE_DEADLINE;
+            let want = format!("\"state\": \"{phase}\"");
+            loop {
+                let reply = self.call("GET", &format!("/api/v1/sessions/{id}"), b"");
+                if reply.body.contains(&want) {
+                    return;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "session {id} never reached `{phase}`: {}",
+                    reply.body
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+
+        /// Sends `/shutdown` and requires `run_serve` to return `Ok`
+        /// before the deadline.
+        fn shutdown(self) {
+            let reply = self.call("POST", "/api/v1/shutdown", b"");
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            let result = self
+                .done
+                .recv_timeout(WAKE_DEADLINE)
+                .expect("run_serve returns once drained");
+            assert_eq!(result, Ok(()));
+            self.thread.join().expect("daemon thread exits cleanly");
+        }
+    }
+
+    #[test]
+    fn shutdown_wakes_the_accept_loop_on_an_unspecified_address() {
+        let daemon = InProcessDaemon::start("0.0.0.0:0");
+        assert_eq!(daemon.call("GET", "/healthz", b"").status, 200);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn every_control_wakes_an_idle_scheduler() {
+        let daemon = InProcessDaemon::start("127.0.0.1:0");
+        let created = daemon.call("POST", "/api/v1/scenarios", &chatbot_yaml());
+        assert_eq!(created.status, 201, "{}", created.body);
+
+        // The scheduler is parked with nothing to step; each start and
+        // control below must wake it.
+        let started = daemon.start_session(false);
+        daemon.await_phase(started, "finished");
+
+        let resumed = daemon.start_session(true);
+        daemon.control(resumed, "resume");
+        daemon.await_phase(resumed, "finished");
+
+        let cancelled = daemon.start_session(true);
+        daemon.control(cancelled, "cancel");
+        daemon.await_phase(cancelled, "cancelled");
+
+        // A paused session at shutdown is cancelled, drained, and the
+        // daemon exits.
+        let held = daemon.start_session(true);
+        daemon.await_phase(held, "paused");
+        daemon.shutdown();
     }
 
     // -----------------------------------------------------------------

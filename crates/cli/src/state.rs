@@ -33,6 +33,7 @@
 //! session therefore finishes **bit-identically** to one that was never
 //! interrupted.
 
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -156,11 +157,16 @@ pub struct RegistryLoad {
     pub quarantined: Vec<QuarantinedFile>,
 }
 
-/// A `--state-dir` opened for the lifetime of one daemon: path layout
-/// plus the append handle of the write-ahead log.
+/// A `--state-dir` opened for the lifetime of one daemon: path layout,
+/// the append handle of the write-ahead log, and the newest checkpoint
+/// written per session.
 pub struct StateDir {
     root: PathBuf,
     wal: Mutex<File>,
+    /// `(rounds, terminal)` of the last checkpoint written per session
+    /// id. Its lock is held across each checkpoint write, which
+    /// serializes them.
+    latest_checkpoints: Mutex<BTreeMap<u64, (u64, bool)>>,
 }
 
 impl StateDir {
@@ -183,6 +189,7 @@ impl StateDir {
         Ok(StateDir {
             root,
             wal: Mutex::new(wal),
+            latest_checkpoints: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -329,16 +336,35 @@ impl StateDir {
         Ok(())
     }
 
-    /// Writes (or refreshes) one session checkpoint atomically.
+    /// Writes (or refreshes) one session checkpoint atomically. Writes
+    /// are serialized and monotonic per session: a checkpoint with fewer
+    /// rounds than the last one written, or a live one after a terminal
+    /// one, is stale — assembled before a newer write landed — and is
+    /// skipped. Returns whether the checkpoint was written.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error.
-    pub fn write_checkpoint(&self, checkpoint: &SessionCheckpoint) -> std::io::Result<()> {
+    pub fn write_checkpoint(&self, checkpoint: &SessionCheckpoint) -> std::io::Result<bool> {
+        let terminal = matches!(
+            checkpoint.phase.as_str(),
+            "finished" | "failed" | "cancelled"
+        );
+        let mut written = self
+            .latest_checkpoints
+            .lock()
+            .expect("checkpoint index poisoned");
+        if let Some(&(rounds, was_terminal)) = written.get(&checkpoint.id) {
+            if checkpoint.rounds < rounds || (was_terminal && !terminal) {
+                return Ok(false);
+            }
+        }
         let mut text = serde_json::to_string_pretty(checkpoint)
             .map_err(|e| std::io::Error::other(format!("checkpoint serialization: {e}")))?;
         text.push('\n');
-        atomic_write(self.checkpoint_path(checkpoint.id), text.as_bytes())
+        atomic_write(self.checkpoint_path(checkpoint.id), text.as_bytes())?;
+        written.insert(checkpoint.id, (checkpoint.rounds, terminal));
+        Ok(true)
     }
 
     /// Reads every checkpoint file back, in session-id (= file name)
@@ -616,6 +642,68 @@ mod tests {
         updated.rounds = 9;
         state.write_checkpoint(&updated).unwrap();
         assert_eq!(state.load_checkpoints().len(), 2);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// The daemon's race, forced with a channel: a writer that assembled
+    /// its checkpoint at round 3 lands only after another writer stored
+    /// round 9. The stale write is skipped, and a terminal checkpoint is
+    /// never replaced by a live one.
+    #[test]
+    fn stale_checkpoints_never_replace_newer_ones() {
+        let root = temp_state_dir("stale-checkpoints");
+        let state = StateDir::open(&root).unwrap();
+        let on_disk = |state: &StateDir| state.load_checkpoints()[0].1.clone().unwrap();
+        let mut newer = checkpoint(5);
+        newer.rounds = 9;
+        let (newer_landed, await_newer) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let state = &state;
+            let stale = checkpoint(5);
+            scope.spawn(move || {
+                await_newer.recv().unwrap();
+                assert!(!state.write_checkpoint(&stale).unwrap(), "stale write");
+            });
+            assert!(state.write_checkpoint(&newer).unwrap());
+            newer_landed.send(()).unwrap();
+        });
+        assert_eq!(on_disk(&state), newer);
+
+        let mut finished = newer.clone();
+        finished.phase = "finished".to_owned();
+        assert!(state.write_checkpoint(&finished).unwrap());
+        assert!(
+            !state.write_checkpoint(&newer).unwrap(),
+            "live after terminal"
+        );
+        assert_eq!(on_disk(&state), finished);
+        // Rewriting the terminal checkpoint (the final drain flush) lands.
+        assert!(state.write_checkpoint(&finished).unwrap());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Writers of one session released together by a barrier: whatever
+    /// order they race in, the newest checkpoint is the one on disk.
+    #[test]
+    fn racing_checkpoint_writers_leave_the_newest_on_disk() {
+        const WRITERS: u64 = 8;
+        let root = temp_state_dir("racing-checkpoints");
+        let state = StateDir::open(&root).unwrap();
+        let barrier = std::sync::Barrier::new(WRITERS as usize);
+        std::thread::scope(|scope| {
+            for rounds in 1..=WRITERS {
+                let (state, barrier) = (&state, &barrier);
+                scope.spawn(move || {
+                    let mut cp = checkpoint(7);
+                    cp.rounds = rounds;
+                    barrier.wait();
+                    state.write_checkpoint(&cp).unwrap();
+                });
+            }
+        });
+        let loaded = state.load_checkpoints();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].1.as_ref().unwrap().rounds, WRITERS);
         std::fs::remove_dir_all(&root).ok();
     }
 
